@@ -1,5 +1,5 @@
-//! SQL engine micro-benchmarks: parsing, and each executor shape run under
-//! both strategies — `interp` is the tree-walking interpreter, `compiled`
+//! SQL engine micro-benchmarks: parsing, and each executor shape run on
+//! both engines — `interp` is the tree-walking reference oracle, `compiled`
 //! is the interned/index-resolved/hash-join path against a prepared
 //! database (the serving and eval hot path). The compiled/interp pairs at
 //! two row scales are what the CI baseline gate watches.
@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dbcopilot_sqlengine::{
-    execute_prepared, execute_with, parse_select, DataType, Database, DatabaseSchema, ExecStrategy,
-    PreparedDb, TableSchema, Value,
+    execute_prepared, interpret, parse_select, DataType, Database, DatabaseSchema, PreparedDb,
+    TableSchema, Value,
 };
 
 fn make_db(rows: usize) -> Database {
@@ -93,7 +93,7 @@ fn bench_engine(c: &mut Criterion) {
         let pdb = PreparedDb::prepare(&db);
         for (shape, sql) in SHAPES {
             c.bench_function(&format!("sqlengine/{shape}_{rows}/interp"), |b| {
-                b.iter(|| execute_with(&db, sql, ExecStrategy::Interpreted))
+                b.iter(|| interpret(&db, sql))
             });
             c.bench_function(&format!("sqlengine/{shape}_{rows}/compiled"), |b| {
                 b.iter(|| execute_prepared(&pdb, sql))

@@ -6,10 +6,15 @@
 //! DBC_SCALE=quick cargo run --release --bin exp_scaling
 //! ```
 //!
-//! On a multi-core machine `train_router` should scale near-linearly to a
-//! few threads (the acceptance target is ≥2× at 4 threads); on a single
-//! core all rows show the same time, but the `identical` column must stay
-//! `yes` everywhere — that is the determinism contract.
+//! Both phases run on the global worker pool, so real concurrency is
+//! capped at the pool size + 1 (the calling thread works too): the pool is
+//! sized once per process from `DBC_THREADS` or the hardware, and rows
+//! pinned above that cap run at the cap. Launch with `DBC_THREADS=8` to
+//! let every row use its full count. On a multi-core machine
+//! `train_router` should scale near-linearly to a few threads (the
+//! acceptance target is ≥2× at 4 threads); on a single core all rows show
+//! the same time, but the `identical` column must stay `yes` everywhere —
+//! that is the determinism contract.
 
 use std::time::Instant;
 

@@ -119,7 +119,7 @@ fn main() {
     // -----------------------------------------------------------------
     eprintln!("  measuring engine latency (interpreted vs compiled)");
     {
-        use dbcopilot::sqlengine::{execute_prepared, execute_with, ExecStrategy, PreparedStore};
+        use dbcopilot::sqlengine::{execute, execute_prepared, interpret, PreparedStore};
         let store = &prepared.corpus.store;
         let pstore = PreparedStore::new(store.clone());
         let workload: Vec<_> = prepared
@@ -142,12 +142,12 @@ fn main() {
         };
         let interp = per_query_us(&|| {
             for (db, _, sql) in &workload {
-                let _ = execute_with(db, sql, ExecStrategy::Interpreted);
+                let _ = interpret(db, sql);
             }
         });
         let compiled = per_query_us(&|| {
             for (db, _, sql) in &workload {
-                let _ = execute_with(db, sql, ExecStrategy::Compiled);
+                let _ = execute(db, sql);
             }
         });
         let reused = per_query_us(&|| {

@@ -10,26 +10,21 @@
 //!   synthesized questions for the new schemata only, reusing the existing
 //!   weights (new word pieces get fresh embedding rows).
 //!
-//! The default on-disk form is a `DBC1` binary container (see
+//! The on-disk form is a `DBC1` binary container (see
 //! [`dbcopilot_nn::codec`]): one section per bundle component, with the
 //! weight section storing raw `f32` bits so a save→load round trip is
-//! bit-exact. JSON remains available behind [`Format::Json`] for human
-//! inspection, and [`load_router`] sniffs the format so either file kind
-//! loads through the same entry point. Every load validates magic, version,
-//! parameter names and tensor shapes against the config and fails with a
-//! typed [`PersistError`] in release builds — corruption is never a
+//! bit-exact. Every load validates magic, version, parameter names and
+//! tensor shapes against the config and fails with a typed
+//! [`PersistError`] in release builds — corruption is never a
 //! `debug_assert!`.
 
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use dbcopilot_graph::SchemaGraph;
+pub use dbcopilot_nn::codec::PersistError;
 use dbcopilot_nn::codec::{self, Section};
-use dbcopilot_nn::serialize::{ensure_finite, sniff_format};
-pub use dbcopilot_nn::serialize::{Format, PersistError};
 use dbcopilot_nn::ParamStore;
 use dbcopilot_nn::QuantizedStore;
 use dbcopilot_nn::Tensor;
@@ -57,38 +52,6 @@ const SEC_SHARDS: [u8; 4] = *b"SHRD";
 /// container; empty shards contribute zero bytes).
 const SEC_SHARD_BUNDLES: [u8; 4] = *b"SBDL";
 
-/// On-disk router representation (the JSON escape hatch; the binary path
-/// writes the same four components as `DBC1` sections).
-#[derive(Serialize, Deserialize)]
-struct SavedRouter {
-    store: ParamStore,
-    vocab: PieceVocab,
-    graph: SchemaGraph,
-    cfg: RouterConfig,
-}
-
-/// Borrowed mirror of [`SavedRouter`] for the JSON save path: serializes to
-/// the identical object (same field names and order, so [`SavedRouter`]
-/// deserializes it) without deep-copying the store, vocabulary, or graph.
-/// Hand-implemented because the vendored derive does not support lifetimes.
-struct SavedRouterRef<'a> {
-    store: &'a ParamStore,
-    vocab: &'a PieceVocab,
-    graph: &'a SchemaGraph,
-    cfg: &'a RouterConfig,
-}
-
-impl Serialize for SavedRouterRef<'_> {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("store".to_string(), self.store.serialize()),
-            ("vocab".to_string(), self.vocab.serialize()),
-            ("graph".to_string(), self.graph.serialize()),
-            ("cfg".to_string(), self.cfg.serialize()),
-        ])
-    }
-}
-
 /// Encode a router as a `DBC1` binary bundle. Weight bits are preserved
 /// exactly; the config/vocab/graph sections are JSON payloads (they hold no
 /// weights and are dwarfed by the parameter section).
@@ -108,95 +71,54 @@ pub fn router_to_vec(router: &DbcRouter) -> Result<Vec<u8>, PersistError> {
     Ok(codec::encode_container(&sections))
 }
 
-/// Serialize a trained router to a writer in the given format.
-pub fn save_router_as<W: Write>(
-    router: &DbcRouter,
-    mut w: W,
-    format: Format,
-) -> Result<(), PersistError> {
-    match format {
-        Format::Binary => Ok(w.write_all(&router_to_vec(router)?)?),
-        Format::Json => {
-            ensure_finite(&router.model.store)?;
-            let saved = SavedRouterRef {
-                store: &router.model.store,
-                vocab: &router.vocab,
-                graph: &router.graph,
-                cfg: &router.model.cfg,
-            };
-            serde_json::to_writer(w, &saved)?;
-            Ok(())
-        }
-    }
-}
-
 /// Serialize a trained router to a writer (binary `DBC1`).
-pub fn save_router<W: Write>(router: &DbcRouter, w: W) -> Result<(), PersistError> {
-    save_router_as(router, w, Format::Binary)
+pub fn save_router<W: Write>(router: &DbcRouter, mut w: W) -> Result<(), PersistError> {
+    Ok(w.write_all(&router_to_vec(router)?)?)
 }
 
-/// Deserialize a router from a byte buffer, sniffing the format.
+/// Deserialize a router from a `DBC1` byte buffer.
 pub fn load_router_slice(bytes: &[u8]) -> Result<DbcRouter, PersistError> {
-    let (saved, quant) = match sniff_format(bytes)? {
-        Format::Binary => {
-            let sections = codec::decode_container(bytes)?;
-            // A sharded manifest is a different artifact kind, not a broken
-            // monolithic bundle: refuse it with a pointer to the right
-            // loader instead of failing on a "missing" VOCB section.
-            if codec::find_section(&sections, SEC_SHARDS)?.is_some() {
-                return Err(PersistError::Corrupt(
-                    "sharded (SHRD) router bundle: load it with \
-                     load_sharded_router_bytes / load_sharded_router_file"
-                        .to_string(),
-                ));
-            }
-            let cfg: RouterConfig =
-                serde_json::from_slice(&codec::require_section(&sections, SEC_CONFIG)?.bytes)?;
-            let vocab: PieceVocab =
-                serde_json::from_slice(&codec::require_section(&sections, SEC_VOCAB)?.bytes)?;
-            let graph: SchemaGraph =
-                serde_json::from_slice(&codec::require_section(&sections, SEC_GRAPH)?.bytes)?;
-            let store = codec::decode_store_section(
-                &codec::require_section(&sections, codec::SEC_PARAMS)?.bytes,
-            )?;
-            // `QNT8` is optional: pre-quantization bundles load fine and
-            // serve at F32 (I8 re-freezes from the f32 weights on demand).
-            let quant = match codec::find_section(&sections, codec::SEC_QUANT)? {
-                Some(sec) => Some(codec::decode_quant_section(&sec.bytes)?),
-                None => None,
-            };
-            (SavedRouter { store, vocab, graph, cfg }, quant)
-        }
-        // The JSON escape hatch never carries quantized weights: it exists
-        // for human inspection of the f32 bundle.
-        Format::Json => (serde_json::from_slice(bytes)?, None),
+    let sections = codec::decode_container(bytes)?;
+    // A sharded manifest is a different artifact kind, not a broken
+    // monolithic bundle: refuse it with a pointer to the right loader
+    // instead of failing on a "missing" VOCB section.
+    if codec::find_section(&sections, SEC_SHARDS)?.is_some() {
+        return Err(PersistError::Corrupt(
+            "sharded (SHRD) router bundle: load it with \
+             load_sharded_router_bytes / load_sharded_router_file"
+                .to_string(),
+        ));
+    }
+    let cfg: RouterConfig =
+        serde_json::from_slice(&codec::require_section(&sections, SEC_CONFIG)?.bytes)?;
+    let vocab: PieceVocab =
+        serde_json::from_slice(&codec::require_section(&sections, SEC_VOCAB)?.bytes)?;
+    let graph: SchemaGraph =
+        serde_json::from_slice(&codec::require_section(&sections, SEC_GRAPH)?.bytes)?;
+    let store =
+        codec::decode_store_section(&codec::require_section(&sections, codec::SEC_PARAMS)?.bytes)?;
+    // `QNT8` is optional: pre-quantization bundles load fine and serve at
+    // F32 (I8 re-freezes from the f32 weights on demand).
+    let quant = match codec::find_section(&sections, codec::SEC_QUANT)? {
+        Some(sec) => Some(codec::decode_quant_section(&sec.bytes)?),
+        None => None,
     };
-    assemble_router(saved, quant)
+    assemble_router(cfg, vocab, graph, store, quant)
 }
 
-/// Deserialize a router from a reader, sniffing the format.
+/// Deserialize a router from a reader.
 pub fn load_router<R: Read>(mut r: R) -> Result<DbcRouter, PersistError> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
     load_router_slice(&buf)
 }
 
-/// Save to a file in the given format.
-pub fn save_router_file_as(
-    router: &DbcRouter,
-    path: impl AsRef<Path>,
-    format: Format,
-) -> Result<(), PersistError> {
-    let f = std::fs::File::create(path)?;
-    save_router_as(router, std::io::BufWriter::new(f), format)
-}
-
 /// Save to a file (binary `DBC1`).
 pub fn save_router_file(router: &DbcRouter, path: impl AsRef<Path>) -> Result<(), PersistError> {
-    save_router_file_as(router, path, Format::Binary)
+    Ok(std::fs::write(path, router_to_vec(router)?)?)
 }
 
-/// Load from a file (either format).
+/// Load from a file.
 pub fn load_router_file(path: impl AsRef<Path>) -> Result<DbcRouter, PersistError> {
     let f = std::fs::File::open(path)?;
     load_router(std::io::BufReader::new(f))
@@ -289,14 +211,15 @@ struct ShardManifestEntry {
 /// 64-shard bundle starts serving after decoding exactly the shards the
 /// traffic reaches.
 ///
-/// Pre-manifest bundles — monolithic `DBC1` containers and the JSON escape
-/// hatch — load as a 1-shard tier, so every artifact ever written by
-/// [`save_router`] keeps loading here (back compat is covered both ways:
-/// see also the `SHRD` rejection in [`load_router_slice`]).
+/// Pre-manifest monolithic `DBC1` bundles load as a 1-shard tier, so every
+/// artifact written by [`save_router`] keeps loading here (back compat is
+/// covered both ways: see also the `SHRD` rejection in
+/// [`load_router_slice`]).
+///
+/// Manifest counts are untrusted: nothing is pre-allocated from them, so a
+/// crafted count larger than the manifest fails as a typed truncation
+/// error instead of aborting the process on a huge allocation.
 pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, PersistError> {
-    if matches!(sniff_format(&bytes)?, Format::Json) {
-        return Ok(ShardedRouter::from_monolith(load_router_slice(&bytes)?));
-    }
     let parsed: Option<(Vec<ShardManifestEntry>, RouterConfig, usize, Vec<String>)> = {
         let sections = codec::decode_container(&bytes)?;
         match codec::find_section(&sections, SEC_SHARDS)? {
@@ -315,10 +238,10 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                         "sharded bundle declares zero shards".to_string(),
                     ));
                 }
-                let mut entries = Vec::with_capacity(count);
+                let mut entries = Vec::new();
                 for shard in 0..count {
                     let n_names = r.take_u32("shard database count")? as usize;
-                    let mut names = Vec::with_capacity(n_names);
+                    let mut names = Vec::new();
                     for _ in 0..n_names {
                         let len = r.take_u32("database name length")? as usize;
                         let raw = r.take_bytes(len, "database name")?;
@@ -358,7 +281,6 @@ pub fn load_sharded_router_bytes(bytes: Vec<u8>) -> Result<ShardedRouter, Persis
                 let mut probes = Vec::new();
                 if !r.at_end() {
                     let n_probes = r.take_u32("probe count")? as usize;
-                    probes.reserve(n_probes);
                     for i in 0..n_probes {
                         let len = r.take_u32("probe length")? as usize;
                         let raw = r.take_bytes(len, "probe question")?;
@@ -422,16 +344,19 @@ pub fn router_disk_size(router: &DbcRouter) -> Result<usize, PersistError> {
 /// Build a serving router from loaded components, verifying the loaded
 /// parameters against the layout the config implies.
 fn assemble_router(
-    saved: SavedRouter,
+    cfg: RouterConfig,
+    vocab: PieceVocab,
+    graph: SchemaGraph,
+    store: ParamStore,
     quant: Option<QuantizedStore>,
 ) -> Result<DbcRouter, PersistError> {
-    let mut model = RouterModel::new(saved.cfg, saved.vocab.len());
+    let mut model = RouterModel::new(cfg, vocab.len());
     // The layer structs hold ParamIds bound during `RouterModel::new`; the
     // loaded store must present the same parameters, in the same order, with
     // the same shapes, or those ids would silently address the wrong
     // tensors. Corrupted or truncated files fail here with a typed error.
-    validate_store_layout(&model.store, &saved.store)?;
-    model.store = saved.store;
+    validate_store_layout(&model.store, &store)?;
+    model.store = store;
     if let Some(qs) = quant {
         // The quantized store is addressed by the same ParamIds, so it must
         // mirror the f32 layout entry for entry — including the transposed
@@ -443,8 +368,8 @@ fn assemble_router(
     let decode_opts = DecodeOptions::from_config(&model.cfg);
     let mut router = DbcRouter {
         model,
-        vocab: saved.vocab,
-        graph: saved.graph,
+        vocab,
+        graph,
         decode_opts,
         label: String::new(),
         precision: RoutePrecision::F32,
@@ -734,6 +659,17 @@ mod tests {
         router
     }
 
+    /// The four sections of a monolithic bundle for `router`, with `parm`
+    /// as the (possibly tampered) `PARM` payload.
+    fn bundle_sections(router: &DbcRouter, parm: Vec<u8>) -> Vec<Section<'static>> {
+        vec![
+            Section::new(SEC_CONFIG, serde_json::to_vec(&router.model.cfg).unwrap()),
+            Section::new(SEC_VOCAB, serde_json::to_vec(&router.vocab).unwrap()),
+            Section::new(SEC_GRAPH, serde_json::to_vec(&router.graph).unwrap()),
+            Section::new(codec::SEC_PARAMS, parm),
+        ]
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_routing_and_bits() {
         let router = trained_router();
@@ -758,6 +694,15 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{an} drifted");
             }
         }
+
+        // the file entry points write and read the same bytes
+        let path = std::env::temp_dir().join(format!("dbc-persist-{}.dbc", std::process::id()));
+        save_router_file(&router, &path).unwrap();
+        let on_disk = std::fs::read(&path).unwrap();
+        let reloaded = load_router_file(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(on_disk, buf);
+        assert!(reloaded.unwrap().best_schema("how many vocalists").unwrap().same_as(&before));
     }
 
     #[test]
@@ -809,13 +754,9 @@ mod tests {
         // Re-freeze with every entry untransposed: shapes stay valid f32
         // shapes but the matvec weights no longer match the scorer's layout.
         let bad = QuantizedStore::freeze(&router.model.store, |_| false);
-        let sections = vec![
-            Section::new(SEC_CONFIG, serde_json::to_vec(&router.model.cfg).unwrap()),
-            Section::new(SEC_VOCAB, serde_json::to_vec(&router.vocab).unwrap()),
-            Section::new(SEC_GRAPH, serde_json::to_vec(&router.graph).unwrap()),
-            Section::new(codec::SEC_PARAMS, codec::encode_store_section(&router.model.store)),
-            Section::new(codec::SEC_QUANT, codec::encode_quant_section(&bad)),
-        ];
+        let mut sections =
+            bundle_sections(&router, codec::encode_store_section(&router.model.store));
+        sections.push(Section::new(codec::SEC_QUANT, codec::encode_quant_section(&bad)));
         let bytes = codec::encode_container(&sections);
         match load_router_slice(&bytes) {
             Err(PersistError::Corrupt(msg)) => {
@@ -826,45 +767,13 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_hatch_roundtrips_through_sniffer() {
-        let router = trained_router();
-        let before = router.best_schema("population of towns").unwrap();
-        let mut buf = Vec::new();
-        save_router_as(&router, &mut buf, Format::Json).unwrap();
-        assert_eq!(buf[0], b'{');
-        let loaded = load_router(buf.as_slice()).unwrap();
-        let after = loaded.best_schema("population of towns").unwrap();
-        assert!(before.same_as(&after), "{before} vs {after}");
-    }
-
-    #[test]
-    fn binary_bundle_is_at_most_40_percent_of_json() {
-        let router = trained_router();
-        let mut json = Vec::new();
-        save_router_as(&router, &mut json, Format::Json).unwrap();
-        let bin = router_disk_size(&router).unwrap();
-        assert!(
-            bin * 100 <= json.len() * 40,
-            "binary {bin} bytes should be ≤ 40% of JSON {} bytes",
-            json.len()
-        );
-    }
-
-    #[test]
-    fn nan_weight_survives_binary_and_is_refused_by_json() {
+    fn nan_weight_survives_binary_roundtrip() {
         let mut router = trained_router();
         let id = router.model.store.id_of("q_proj.b").unwrap();
         let nan = f32::from_bits(0x7fc0_1234);
         router.model.store.value_mut(id).set(0, 0, nan);
 
-        // regression: the JSON path used to write `null` silently
-        let mut json = Vec::new();
-        match save_router_as(&router, &mut json, Format::Json) {
-            Err(PersistError::NonFinite { param }) => assert!(param.starts_with("q_proj.b")),
-            other => panic!("expected NonFinite, got {other:?}"),
-        }
-
-        // the binary path preserves the exact NaN payload
+        // the exact NaN payload survives a save→load round trip
         let mut bin = Vec::new();
         save_router(&router, &mut bin).unwrap();
         let loaded = load_router(bin.as_slice()).unwrap();
@@ -894,16 +803,26 @@ mod tests {
             load_router_slice(&bad),
             Err(PersistError::UnsupportedVersion { found: 9, supported: 1 })
         ));
+        // JSON text is not a bundle format: both loaders refuse it by magic
+        let json = b"{\"store\":{}}";
+        assert!(matches!(load_router_slice(json), Err(PersistError::BadMagic { .. })));
+        assert!(matches!(
+            load_sharded_router_bytes(json.to_vec()),
+            Err(PersistError::BadMagic { .. })
+        ));
     }
 
     #[test]
     fn renamed_parameter_is_corrupt_not_debug_assert() {
         let router = trained_router();
-        let mut json = Vec::new();
-        save_router_as(&router, &mut json, Format::Json).unwrap();
-        let text = String::from_utf8(json).unwrap();
-        let tampered = text.replace("q_emb.weight", "q_emb.wrong0");
-        match load_router_slice(tampered.as_bytes()) {
+        // rename one parameter in place inside the binary PARM payload
+        // (same length, so the framing stays valid)
+        let mut parm = codec::encode_store_section(&router.model.store);
+        let (from, to) = (b"q_emb.weight", b"q_emb.wrong0");
+        let at = parm.windows(from.len()).position(|w| w == from).expect("name in PARM");
+        parm[at..at + to.len()].copy_from_slice(to);
+        let bytes = codec::encode_container(&bundle_sections(&router, parm));
+        match load_router_slice(&bytes) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("q_emb"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -921,12 +840,7 @@ mod tests {
                 store.add(name, value.clone());
             }
         }
-        let sections = vec![
-            Section::new(SEC_CONFIG, serde_json::to_vec(&router.model.cfg).unwrap()),
-            Section::new(SEC_VOCAB, serde_json::to_vec(&router.vocab).unwrap()),
-            Section::new(SEC_GRAPH, serde_json::to_vec(&router.graph).unwrap()),
-            Section::new(codec::SEC_PARAMS, codec::encode_store_section(&store)),
-        ];
+        let sections = bundle_sections(&router, codec::encode_store_section(&store));
         let bytes = codec::encode_container(&sections);
         match load_router_slice(&bytes) {
             Err(PersistError::Corrupt(msg)) => assert!(msg.contains("q_proj.w"), "{msg}"),

@@ -9,6 +9,7 @@ use dbcopilot_core::{
     PersistError, RouterConfig, SerializationMode, ShardedRouter, TrainExample,
 };
 use dbcopilot_graph::{QuerySchema, SchemaGraph};
+use dbcopilot_nn::codec::{self, Section};
 use dbcopilot_retrieval::SchemaRouter;
 use dbcopilot_sqlengine::{Collection, DataType, DatabaseSchema, TableSchema};
 
@@ -195,6 +196,33 @@ fn truncated_and_corrupted_sharded_bundles_fail_loudly() {
     let mut bad = bytes.clone();
     bad[..4].copy_from_slice(b"ELF\x7f");
     assert!(matches!(load_sharded_router_bytes(bad), Err(PersistError::BadMagic { .. })));
+
+    // Crafted manifests whose untrusted counts far exceed the bytes that
+    // follow must fail as truncation, never abort on a huge allocation.
+    let huge = u32::MAX.to_le_bytes();
+    let empty_shard = [1u32.to_le_bytes(), 0u32.to_le_bytes()].concat(); // 1 shard, 0 dbs
+    let empty_range = [0u64.to_le_bytes(), 0u64.to_le_bytes()].concat(); // offset 0, len 0
+    for (what, manifest) in [
+        ("shard count", huge.to_vec()),
+        ("database count", [1u32.to_le_bytes(), huge].concat()),
+        ("probe count", [empty_shard, empty_range, huge.to_vec()].concat()),
+    ] {
+        match load_sharded_router_bytes(with_manifest(&bytes, manifest)) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("truncated"), "{what}: {msg}"),
+            Err(other) => panic!("{what}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("{what}: crafted manifest must not load"),
+        }
+    }
+}
+
+/// `bundle` with its `SHRD` manifest payload replaced by `manifest`.
+fn with_manifest(bundle: &[u8], manifest: Vec<u8>) -> Vec<u8> {
+    let sections: Vec<Section<'_>> = codec::decode_container(bundle)
+        .unwrap()
+        .into_iter()
+        .map(|s| if &s.tag == b"SHRD" { Section::new(s.tag, manifest.clone()) } else { s })
+        .collect();
+    codec::encode_container(&sections)
 }
 
 #[test]

@@ -35,8 +35,58 @@
 
 use crate::optim::ParamStore;
 use crate::quant::{QuantEntry, QuantizedMatrix, QuantizedStore};
-use crate::serialize::PersistError;
 use crate::tensor::Tensor;
+
+/// Errors from saving/loading parameter stores and router bundles.
+#[derive(Debug)]
+pub enum PersistError {
+    Io(std::io::Error),
+    /// JSON encode/decode failure in a metadata section (router config,
+    /// vocabulary, schema graph).
+    Codec(serde_json::Error),
+    /// The file does not start with the `DBC1` magic.
+    BadMagic {
+        found: [u8; 4],
+    },
+    /// The file is a `DBC1` container from an unknown format version.
+    UnsupportedVersion {
+        found: u16,
+        supported: u16,
+    },
+    /// Structurally invalid content: truncation, bad framing, shape or
+    /// name mismatches against the expected model layout.
+    Corrupt(String),
+}
+
+impl std::fmt::Display for PersistError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PersistError::Io(e) => write!(f, "io error: {e}"),
+            PersistError::Codec(e) => write!(f, "codec error: {e}"),
+            PersistError::BadMagic { found } => {
+                write!(f, "bad magic {found:?}: not a DBC1 file")
+            }
+            PersistError::UnsupportedVersion { found, supported } => {
+                write!(f, "unsupported DBC1 version {found} (this build reads {supported})")
+            }
+            PersistError::Corrupt(msg) => write!(f, "corrupt file: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for PersistError {}
+
+impl From<std::io::Error> for PersistError {
+    fn from(e: std::io::Error) -> Self {
+        PersistError::Io(e)
+    }
+}
+
+impl From<serde_json::Error> for PersistError {
+    fn from(e: serde_json::Error) -> Self {
+        PersistError::Codec(e)
+    }
+}
 
 /// File magic: the first four bytes of every binary artifact.
 pub const MAGIC: [u8; 4] = *b"DBC1";

@@ -13,9 +13,10 @@
 //! * [`gradcheck`] — finite-difference validation used across the workspace;
 //! * [`quant`] — read-only per-row i8 quantization of a frozen `ParamStore`
 //!   with i32-accumulating dot/matvec kernels for the serving hot path;
-//! * [`codec`] — the `DBC1` binary container (compact, versioned, bit-exact);
-//! * [`serialize`] — persistence entry points: binary by default, JSON behind
-//!   a [`serialize::Format::Json`] escape hatch (also measures index size).
+//! * [`codec`] — the `DBC1` binary container (compact, versioned, bit-exact)
+//!   that every persisted store and router bundle goes through, and its
+//!   typed [`codec::PersistError`]; [`codec::encoded_store_len`] measures
+//!   index size.
 //!
 //! ```
 //! use dbcopilot_nn::tensor::Tensor;
@@ -31,7 +32,6 @@ pub mod init;
 pub mod layers;
 pub mod optim;
 pub mod quant;
-pub mod serialize;
 pub mod tape;
 pub mod tensor;
 

@@ -1,19 +1,16 @@
 //! A persistent worker pool: long-lived threads fed by a channel work
-//! queue, with the same determinism contract as the scoped primitives.
+//! queue, backing every parallel map in the workspace.
 //!
-//! The scoped [`parallel_map`](crate::parallel_map) spawns and joins its
-//! workers on every call. That is cheap relative to training a router, but
-//! it dominates when the mapped work is small — the serving layer routes
-//! micro-batches of a handful of questions, and per-call thread spawns
-//! would be most of the latency. [`WorkerPool`] keeps its threads alive
-//! across calls: submitting a job is one channel send instead of one
+//! Spawning and joining workers on every call would dominate when the
+//! mapped work is small — the serving layer routes micro-batches of a
+//! handful of questions. [`WorkerPool`] keeps its threads alive across
+//! calls: submitting a job is one channel send instead of one
 //! `thread::spawn`.
 //!
-//! Determinism is preserved exactly as in the scoped path: work is
-//! partitioned purely by chunk index, chunks are claimed dynamically off an
-//! atomic counter, and results are reassembled in chunk order — the output
-//! of [`WorkerPool::map_chunks`] never depends on the pool size, the
-//! effective thread count, or scheduling order.
+//! Determinism: work is partitioned purely by chunk index, chunks are
+//! claimed dynamically off an atomic counter, and results are reassembled
+//! in chunk order — the output of [`WorkerPool::map_chunks`] never depends
+//! on the pool size, the effective thread count, or scheduling order.
 //!
 //! # Shutdown
 //!
@@ -39,7 +36,10 @@ use std::sync::{Arc, Condvar, OnceLock};
 use std::thread::JoinHandle;
 
 use crate::ordered::{lock_rank, OrderedGuard, OrderedMutex};
-use crate::{thread_count, with_thread_count, MIN_PARALLEL_ITEMS};
+use crate::{thread_count, with_thread_count};
+
+/// Items per map below which dispatching to helpers is never worth it.
+const MIN_PARALLEL_ITEMS: usize = 2;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -109,9 +109,8 @@ impl WorkerPool {
             .expect("pool workers alive until drop");
     }
 
-    /// Pool-backed equivalent of [`crate::parallel_map`]: map `f` over
-    /// `items`, results **in item order** regardless of pool size or thread
-    /// count. `f` receives `(index, &item)`.
+    /// Map `f` over `items`, results **in item order** regardless of pool
+    /// size or thread count. `f` receives `(index, &item)`.
     pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -121,8 +120,13 @@ impl WorkerPool {
         self.map_chunks(items, 1, |i, chunk| f(i, &chunk[0]))
     }
 
-    /// Pool-backed equivalent of [`crate::parallel_map_chunks`]: map `f`
-    /// over fixed-size chunks, results **in chunk order**.
+    /// Map `f` over fixed-size chunks of `items`, results **in chunk
+    /// order**. `f` receives `(chunk_index, chunk)`; every chunk has
+    /// `chunk_size` items except possibly the last.
+    ///
+    /// The chunk boundaries depend only on `chunk_size` — never derive
+    /// `chunk_size` from [`thread_count`], or the partition (and any
+    /// float-accumulation order downstream) would change with the machine.
     ///
     /// Concurrency is `min(thread_count(), pool size + 1, chunks)` — the
     /// calling thread always participates, so progress never depends on
@@ -311,8 +315,8 @@ pub fn global_pool() -> &'static WorkerPool {
     GLOBAL.get_or_init(|| WorkerPool::new(crate::env_thread_count()))
 }
 
-/// [`crate::parallel_map`] on the process-wide persistent pool: identical
-/// output, no per-call thread spawns.
+/// [`WorkerPool::map`] on the process-wide persistent pool: results **in
+/// item order**, identical to the serial map at any thread count.
 pub fn pooled_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -322,8 +326,9 @@ where
     global_pool().map(items, f)
 }
 
-/// [`crate::parallel_map_chunks`] on the process-wide persistent pool:
-/// identical output, no per-call thread spawns.
+/// [`WorkerPool::map_chunks`] on the process-wide persistent pool: results
+/// **in chunk order**, identical to the serial chunked map at any thread
+/// count.
 pub fn pooled_map_chunks<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
 where
     T: Sync,

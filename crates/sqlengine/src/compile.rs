@@ -293,8 +293,8 @@ impl PreparedTable {
 /// A database in execution-ready form: every text payload interned once,
 /// rows flattened. Build once with [`PreparedDb::prepare`] and reuse across
 /// queries (the eval loops and the serving pipeline do), or let
-/// [`execute_select_with`](crate::exec::execute_select_with) prepare just
-/// the referenced tables for a one-shot query.
+/// [`execute_select`](crate::exec::execute_select) prepare just the
+/// referenced tables for a one-shot query.
 #[derive(Debug, Clone)]
 pub struct PreparedDb {
     pub name: String,

@@ -1,6 +1,12 @@
-//! Query execution: a straightforward tuple-at-a-time interpreter.
+//! Query execution entry points, and the tuple-at-a-time interpreter that
+//! serves as the engine's reference oracle.
 //!
-//! Supported: inner joins (nested loop), WHERE, GROUP BY + aggregates,
+//! [`execute`] and [`execute_select`] run the compiled path
+//! ([`mod@crate::compile`]: names resolved once, text interned, hash
+//! joins). [`interpret`] runs the original interpreter, which defines the
+//! semantics the compiled path must reproduce byte for byte — rows and
+//! errors alike; the differential suite in `tests/differential.rs`
+//! enforces this. Supported: inner joins (nested loop), WHERE, GROUP BY + aggregates,
 //! HAVING, ORDER BY, LIMIT, DISTINCT, uncorrelated scalar/IN subqueries.
 //! Semantics follow SQLite where they matter for execution-accuracy
 //! comparison (NULL-skipping aggregates, case-insensitive LIKE, empty scalar
@@ -27,56 +33,28 @@ impl ResultSet {
     }
 }
 
-/// How to execute a SELECT.
-///
-/// Both strategies produce identical `ResultSet`s and identical errors —
-/// the differential suite in `tests/differential.rs` enforces this. The
-/// compiled path ([`mod@crate::compile`]) resolves names once, interns text,
-/// and hash-joins; the interpreter remains as the semantic reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// The original tuple-at-a-time interpreter (semantic reference).
-    Interpreted,
-    /// Compile to index-resolved form, then run (the default).
-    #[default]
-    Compiled,
-}
-
 /// Parse and execute a SELECT statement against a database.
 pub fn execute(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
-    execute_with(db, sql, ExecStrategy::default())
-}
-
-/// Parse and execute with an explicit strategy.
-pub fn execute_with(
-    db: &Database,
-    sql: &str,
-    strategy: ExecStrategy,
-) -> Result<ResultSet, EngineError> {
-    let sel = parse_select(sql)?;
-    execute_select_with(db, &sel, strategy)
+    execute_select(db, &parse_select(sql)?)
 }
 
 /// Execute a parsed SELECT against a database.
 pub fn execute_select(db: &Database, sel: &Select) -> Result<ResultSet, EngineError> {
-    execute_select_with(db, sel, ExecStrategy::default())
+    crate::compile::run_select(db, sel)
 }
 
-/// Execute a parsed SELECT with an explicit strategy.
-pub fn execute_select_with(
-    db: &Database,
-    sel: &Select,
-    strategy: ExecStrategy,
-) -> Result<ResultSet, EngineError> {
-    match strategy {
-        ExecStrategy::Interpreted => interpret_select(db, sel),
-        ExecStrategy::Compiled => crate::compile::run_select(db, sel),
-    }
+/// Parse and run a SELECT on the tuple-at-a-time interpreter: the
+/// reference oracle for [`execute`].
+///
+/// It returns the same `ResultSet`s and the same errors as the compiled
+/// path, only slower; tests and benches compare the two. Serve queries
+/// with [`execute`] or [`execute_prepared`](crate::execute_prepared).
+pub fn interpret(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
+    interpret_select(db, &parse_select(sql)?)
 }
 
-/// The tuple-at-a-time interpreter (kept as the semantic reference for the
-/// compiled engine; subqueries below stay on this path so the strategy is
-/// pure end to end).
+/// The tuple-at-a-time interpreter (subqueries below stay on this path so
+/// the oracle is pure end to end).
 fn interpret_select(db: &Database, sel: &Select) -> Result<ResultSet, EngineError> {
     // Resolve scope: one binding per FROM/JOIN table.
     let mut scope = Scope { bindings: Vec::new() };

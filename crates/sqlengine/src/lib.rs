@@ -55,9 +55,7 @@ pub use compile::{
     compile, execute_prepared, execute_select_prepared, CompiledSelect, PreparedDb, PreparedStore,
 };
 pub use error::EngineError;
-pub use exec::{
-    execute, execute_select, execute_select_with, execute_with, ExecStrategy, ResultSet,
-};
+pub use exec::{execute, execute_select, interpret, ResultSet};
 pub use intern::{Interner, Symbol};
 pub use parser::parse_select;
 pub use render::{render_expr, render_select};
